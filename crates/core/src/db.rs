@@ -312,52 +312,101 @@ impl Db {
 
     /// Insert a row (auto-commit). Degradable values must be at the most
     /// accurate domain state; they are stored at their LCP's first-stage
-    /// level and their first transitions are armed.
+    /// level and their first transitions are armed. A lock conflict never
+    /// fails the insert: it waits, and on any error it leaves no row
+    /// behind.
     pub fn insert(&self, table_name: &str, row: &[Value]) -> Result<TupleId> {
         let table = self.catalog.get(table_name)?;
         table.schema().validate_insert(row)?;
         let now = self.now();
         let tx = self.txs.begin();
-        tx.lock(Resource::Table(table.id()), LockMode::IntentionExclusive)?;
-        // Gate held across mutation *and* enqueue: a checkpoint's
-        // flush_all can then never persist this page write before its
-        // log records exist in the pipeline (steal of an unlogged
-        // mutation). The only lock taken inside the gate is on the
-        // freshly allocated tuple id, which nothing else can contend.
-        let (tid, stored, pending) = {
-            let _shared = self.ckpt_gate.read();
+        // An auto-commit INSERT waits out a table S holder (a scanning
+        // SELECT or DELETE) whatever its age instead of dying under
+        // wait-die: it holds no lock yet, so no cycle can form, and a
+        // client that sent the INSERT and left could not retry it.
+        let table_ix = Resource::Table(table.id());
+        while !tx.try_lock(table_ix, LockMode::IntentionExclusive)? {
+            tx.wait_grantable(table_ix, LockMode::IntentionExclusive)?;
+        }
+        let (tid, stored, pending) = loop {
+            // Gate held across mutation *and* enqueue: a checkpoint's
+            // flush_all can then never persist this page write before its
+            // log records exist in the pipeline (steal of an unlogged
+            // mutation). Nothing inside the gate waits on a lock.
+            let shared = self.ckpt_gate.read();
             let tid = table.insert_physical(now, row)?;
-            tx.lock(Resource::Tuple(table.id(), tid), LockMode::Exclusive)?;
-            // WAL: the logged image is the *stored* tuple (already
-            // generalized to the first stage level), so a coarse-ingest
-            // table never logs the accurate form at all.
-            let stored = table.get(tid)?;
-            let bytes = encode_stored_raw(stored.insert_ts, &stored.stages, &stored.row);
-            let pending = self.enqueue_records_gated(vec![
-                LogRecord::Begin {
-                    tx: tx.id(),
-                    at: now,
-                },
-                LogRecord::Insert {
-                    tx: tx.id(),
-                    table: table.id(),
-                    tid,
-                    row: self.payload(&bytes, now)?,
-                    at: now,
-                },
-                LogRecord::Commit {
-                    tx: tx.id(),
-                    at: now,
-                },
-            ])?;
-            (tid, stored, pending)
+            let res = Resource::Tuple(table.id(), tid);
+            let logged = match tx.try_lock(res, LockMode::Exclusive) {
+                Ok(true) => self.log_insert(&tx, &table, tid, now).map(Some),
+                Ok(false) => Ok(None),
+                Err(e) => Err(e),
+            };
+            match logged {
+                Ok(Some((stored, pending))) => break (tid, stored, pending),
+                Ok(None) => {
+                    // The slot id was freed by a transaction that still
+                    // holds its lock (an expunge whose batch has not
+                    // committed yet). Give the slot back, leave the gate,
+                    // wait for that transaction and place the row again.
+                    // The wait ignores wait-die ages: this transaction
+                    // holds only the table IX lock, which no holder of a
+                    // tuple lock ever waits for, so no cycle can form.
+                    undo_insert(&table, tid)?;
+                    drop(shared);
+                    tx.wait_grantable(res, LockMode::Exclusive)?;
+                }
+                Err(e) => {
+                    undo_insert(&table, tid)?;
+                    return Err(e);
+                }
+            }
         };
-        pending.wait()?;
-        tx.commit()?;
+        if let Err(e) = pending.wait() {
+            let _shared = self.ckpt_gate.read();
+            undo_insert(&table, tid)?;
+            return Err(e);
+        }
+        // Armed before the locks go: past the durable ack nothing may
+        // leave the row without its transitions.
         self.arm_transitions(&table, tid, &stored);
+        tx.commit()?;
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
         self.enforce_wal_retention();
         Ok(tid)
+    }
+
+    /// Enqueue the log records of a freshly placed row (caller holds the
+    /// `ckpt_gate` shared side and the row's tuple X lock). The logged
+    /// image is the *stored* tuple (already generalized to the first
+    /// stage level), so a coarse-ingest table never logs the accurate
+    /// form at all.
+    fn log_insert(
+        &self,
+        tx: &TxHandle,
+        table: &Table,
+        tid: TupleId,
+        now: Timestamp,
+    ) -> Result<(StoredTuple, CommitHandle)> {
+        let stored = table.get(tid)?;
+        let bytes = encode_stored_raw(stored.insert_ts, &stored.stages, &stored.row);
+        let pending = self.enqueue_records_gated(vec![
+            LogRecord::Begin {
+                tx: tx.id(),
+                at: now,
+            },
+            LogRecord::Insert {
+                tx: tx.id(),
+                table: table.id(),
+                tid,
+                row: self.payload(&bytes, now)?,
+                at: now,
+            },
+            LogRecord::Commit {
+                tx: tx.id(),
+                at: now,
+            },
+        ])?;
+        Ok((stored, pending))
     }
 
     /// Arm the next pending transition for every degradable attribute of a
@@ -1174,6 +1223,20 @@ impl CommitHandle {
     }
 }
 
+/// Take back the physical insert of a row whose INSERT failed before its
+/// commit was durable (caller holds the `ckpt_gate` shared side). Without
+/// this the row would stay in the heap unlogged, with its accurate values
+/// and no transition armed — never degraded. A failed removal is reported
+/// in place of the INSERT's own error, since it is the worse one.
+fn undo_insert(table: &Table, tid: TupleId) -> Result<()> {
+    match table.expunge_physical(tid) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(Error::Corrupt(format!(
+            "unlogged row {tid} of a failed insert could not be removed: {e}"
+        ))),
+    }
+}
+
 fn with_ext(p: &std::path::Path, ext: &str) -> PathBuf {
     let mut s = p.as_os_str().to_os_string();
     s.push(".");
@@ -1295,6 +1358,87 @@ mod tests {
         assert!(!table.exists(tid));
         assert_eq!(table.live_count().unwrap(), 0);
         assert!(db.scheduler().is_empty());
+    }
+
+    #[test]
+    fn insert_into_a_slot_freed_by_an_uncommitted_expunge_waits_and_logs() {
+        let clock = MockClock::new();
+        let db = Arc::new(fresh(&clock));
+        let table = db.catalog().get("person").unwrap();
+        let old = db.insert("person", &row(1, "4 rue Jussieu")).unwrap();
+        // Walk the tuple to its last stage; the next transition expunges it.
+        for step in [Duration::hours(2), Duration::days(2), Duration::months(1)] {
+            clock.advance(step);
+            db.pump_degradation().unwrap();
+        }
+        clock.advance(Duration::months(2));
+        // The pump's batch, stalled between its expunge and its commit:
+        // the slot is free, but the batch still holds the tuple X lock.
+        let now = db.now();
+        let batch_tx = db.txs.begin_system();
+        let due = db.sched.due_batch(now, db.cfg.batch_max);
+        assert_eq!(due.len(), 1);
+        let mut recs = Vec::new();
+        let applied = db.apply_transition(&batch_tx, &due[0], now, &mut recs);
+        assert!(matches!(applied, Ok(Applied::Expunged)));
+        assert!(!table.exists(old));
+        let conflicts = || db.txs.locks().counters().1;
+        let before = conflicts();
+
+        let inserter = {
+            let db = db.clone();
+            std::thread::spawn(move || db.insert("person", &row(2, "Rue de la Paix")))
+        };
+        // The INSERT lands on the freed slot and meets the batch's lock.
+        while conflicts() == before {
+            std::thread::yield_now();
+        }
+        recs.push(LogRecord::Commit {
+            tx: batch_tx.id(),
+            at: now,
+        });
+        db.commit_records(recs).unwrap();
+        batch_tx.commit().unwrap();
+
+        let tid = inserter
+            .join()
+            .unwrap()
+            .expect("the INSERT waits for the expunge instead of dying");
+        assert_eq!(tid, old, "placed again on the freed slot");
+        assert_eq!(table.live_count().unwrap(), 1, "no orphan row is left");
+        assert_eq!(table.get(tid).unwrap().row[0], Value::Int(2));
+        assert_eq!(db.scheduler().len(), 1, "its first transition is armed");
+        assert_eq!(db.stats().inserts.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn insert_waits_out_an_older_table_reader_instead_of_dying() {
+        let clock = MockClock::new();
+        let db = Arc::new(fresh(&clock));
+        let table = db.catalog().get("person").unwrap();
+        // An older scan holds the table S lock, which excludes IX.
+        let scan = db.txs.begin();
+        scan.lock(Resource::Table(table.id()), LockMode::Shared)
+            .unwrap();
+        let conflicts = || db.txs.locks().counters().1;
+        let before = conflicts();
+        let inserter = {
+            let db = db.clone();
+            std::thread::spawn(move || db.insert("person", &row(1, "4 rue Jussieu")))
+        };
+        while conflicts() == before {
+            assert!(
+                !inserter.is_finished(),
+                "the INSERT ended without meeting the lock"
+            );
+            std::thread::yield_now();
+        }
+        scan.commit().unwrap();
+        inserter
+            .join()
+            .unwrap()
+            .expect("the INSERT waits for the scan instead of dying");
+        assert_eq!(table.live_count().unwrap(), 1);
     }
 
     #[test]

@@ -497,7 +497,6 @@ fn select(
     projection: &[String],
     predicate: Option<&Predicate>,
 ) -> Result<QueryResult> {
-    let db = session.db();
     let schema = table.schema();
     bind_predicate(schema, predicate)?;
     let acc = resolve_accuracy(session, table)?;
@@ -514,51 +513,15 @@ fn select(
             .collect::<Result<_>>()?
     };
 
-    let tx = db.tx_manager().begin();
-    tx.lock(Resource::Table(table.id()), LockMode::IntentionShared)?;
-
-    let candidate_ids = candidates(table, &path, &acc)?;
     let mut rows = Vec::new();
-    let mut visit = |tid: TupleId, tuple: &StoredTuple| -> Result<()> {
-        if let Some(view) = degraded_view(table, tuple, &acc, session.semantics()) {
-            let keep = match predicate {
-                Some(p) => eval_predicate(schema, p, &view)?,
-                None => true,
-            };
-            if keep {
-                rows.push(
-                    proj_ids
-                        .iter()
-                        .map(|c| view[c.0 as usize].clone())
-                        .collect(),
-                );
-            }
-        }
-        let _ = tid;
-        Ok(())
-    };
-    match candidate_ids {
-        Some(ids) => {
-            let mut seen = std::collections::HashSet::new();
-            for tid in ids {
-                if !seen.insert(tid) {
-                    continue;
-                }
-                tx.lock(Resource::Tuple(table.id(), tid), LockMode::Shared)?;
-                if let Ok(tuple) = table.get(tid) {
-                    visit(tid, &tuple)?;
-                }
-            }
-        }
-        None => {
-            // Sequential scan under a table shared lock.
-            tx.lock(Resource::Table(table.id()), LockMode::Shared)?;
-            for (tid, tuple) in table.scan()? {
-                visit(tid, &tuple)?;
-            }
-        }
-    }
-    tx.commit()?;
+    for_each_match(session, table, &path, &acc, predicate, |_, view| {
+        rows.push(
+            proj_ids
+                .iter()
+                .map(|c| view[c.0 as usize].clone())
+                .collect(),
+        );
+    })?;
     Ok(QueryResult {
         columns: proj_ids
             .iter()
@@ -578,41 +541,74 @@ fn delete(session: &Session, table: &Arc<Table>, predicate: Option<&Predicate>) 
     bind_predicate(schema, predicate)?;
     let acc = resolve_accuracy(session, table)?;
     let path = plan(table, predicate, &acc);
-    let candidate_ids = candidates(table, &path, &acc)?;
-    let ids: Vec<TupleId> = match candidate_ids {
-        Some(ids) => ids,
-        None => table.scan()?.into_iter().map(|(t, _)| t).collect(),
-    };
     let mut victims = Vec::new();
-    {
-        let tx = db.tx_manager().begin();
-        tx.lock(Resource::Table(table.id()), LockMode::IntentionShared)?;
-        let mut seen = std::collections::HashSet::new();
-        for tid in ids {
-            if !seen.insert(tid) {
-                continue;
-            }
-            tx.lock(Resource::Tuple(table.id(), tid), LockMode::Shared)?;
-            let Ok(tuple) = table.get(tid) else { continue };
-            if let Some(view) = degraded_view(table, &tuple, &acc, session.semantics()) {
-                let keep = match predicate {
-                    Some(p) => eval_predicate(schema, p, &view)?,
-                    None => true,
-                };
-                if keep {
-                    victims.push(tid);
-                }
-            }
-        }
-        tx.commit()?;
-    }
+    for_each_match(session, table, &path, &acc, predicate, |tid, _| {
+        victims.push(tid)
+    })?;
     let mut deleted = 0;
     for tid in victims {
-        if db.delete_tuple(table, tid).is_ok() {
-            deleted += 1;
+        match db.delete_tuple(table, tid) {
+            Ok(()) => deleted += 1,
+            // Removed since the read phase (a concurrent DELETE or expunge).
+            Err(Error::NotFound(_)) => {}
+            Err(e) => return Err(e),
         }
     }
     Ok(deleted)
+}
+
+/// The read phase of SELECT and DELETE: in one read transaction, fetch
+/// every candidate of `path` once and hand each tuple that participates
+/// at `acc` and satisfies `predicate` to `visit`, with its degraded view.
+///
+/// Index candidates are sorted and deduplicated, so each tuple is
+/// S-locked and read once and each heap page is fetched once, in
+/// `(page, slot)` order. Without candidates the table is S-locked and
+/// scanned in page order. A candidate gone since the index probe
+/// (`NotFound`) is skipped; any other error is returned.
+fn for_each_match(
+    session: &Session,
+    table: &Table,
+    path: &AccessPath,
+    acc: &AccuracyVector,
+    predicate: Option<&Predicate>,
+    mut visit: impl FnMut(TupleId, Vec<Value>),
+) -> Result<()> {
+    let tx = session.db().tx_manager().begin();
+    tx.lock(Resource::Table(table.id()), LockMode::IntentionShared)?;
+    let mut visit_tuple = |tid: TupleId, tuple: &StoredTuple| -> Result<()> {
+        if let Some(view) = degraded_view(table, tuple, acc, session.semantics()) {
+            let keep = match predicate {
+                Some(p) => eval_predicate(table.schema(), p, &view)?,
+                None => true,
+            };
+            if keep {
+                visit(tid, view);
+            }
+        }
+        Ok(())
+    };
+    match candidates(table, path, acc)? {
+        Some(mut ids) => {
+            ids.sort_unstable();
+            ids.dedup();
+            for tid in ids {
+                tx.lock(Resource::Tuple(table.id(), tid), LockMode::Shared)?;
+                match table.get(tid) {
+                    Ok(tuple) => visit_tuple(tid, &tuple)?,
+                    Err(Error::NotFound(_)) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        None => {
+            tx.lock(Resource::Table(table.id()), LockMode::Shared)?;
+            for (tid, tuple) in table.scan()? {
+                visit_tuple(tid, &tuple)?;
+            }
+        }
+    }
+    tx.commit()
 }
 
 #[cfg(test)]
@@ -793,6 +789,115 @@ mod tests {
         assert_eq!(out, QueryOutput::Deleted(1)); // carol
         let r = s.execute("SELECT id FROM person").unwrap().rows();
         assert_eq!(r.rows.len(), 3);
+    }
+
+    /// A table twice the pool: reading it faults each page in at most once
+    /// per statement and writes none back.
+    #[test]
+    fn reads_of_a_table_twice_the_pool_fault_each_page_once_and_write_none() {
+        let clock = MockClock::new();
+        let cfg = DbConfig {
+            buffer_frames: 8,
+            wal_mode: crate::config::WalMode::Off,
+            ..DbConfig::default()
+        };
+        let db = Arc::new(Db::open(cfg, clock.shared()).unwrap());
+        let mut s = Session::new(db.clone());
+        s.register_hierarchy("location_gt", Arc::new(location_tree_fig1()));
+        s.execute(
+            "CREATE TABLE person (id INT INDEXED, name TEXT, \
+               location TEXT DEGRADE USING location_gt LCP 'd0:1h -> d1:1d' INDEXED)",
+        )
+        .unwrap();
+        let table = db.catalog().get("person").unwrap();
+        // Ids are scattered over the pages, so id order hops between them.
+        let mut n = 0i64;
+        while table.heap().page_count() < 16 {
+            let row = [
+                Value::Int((n * 7919) % 100_003),
+                Value::Str(format!("person-{n:05}")),
+                Value::Str("Rue de la Paix".into()),
+            ];
+            db.insert("person", &row).unwrap();
+            n += 1;
+        }
+        db.buffer_pool().flush_all().unwrap();
+        let pages = table.heap().page_count() as u64;
+        let disk = db.buffer_pool().disk().clone();
+        let check = |what: &str, run: &mut dyn FnMut()| {
+            let (reads, writes) = disk.io_counters();
+            run();
+            let (reads2, writes2) = disk.io_counters();
+            assert_eq!(writes2, writes, "{what} wrote pages back");
+            assert!(reads2 - reads <= pages, "{what}: {} faults", reads2 - reads);
+        };
+        check("seq scan", &mut || {
+            let r = s.execute("SELECT name FROM person").unwrap().rows();
+            assert_eq!(r.rows.len() as i64, n);
+        });
+        check("live_count", &mut || {
+            assert_eq!(table.live_count().unwrap() as i64, n);
+        });
+        check("index range", &mut || {
+            let r = s.execute("SELECT name FROM person WHERE id >= 0").unwrap();
+            let r = r.rows();
+            assert!(r.plan.starts_with("IndexRange"), "{}", r.plan);
+            assert_eq!(r.rows.len() as i64, n);
+        });
+    }
+
+    #[test]
+    fn select_reports_a_page_read_error_instead_of_dropping_rows() {
+        use std::io::{Seek, SeekFrom, Write};
+        let (_clock, mut s) = setup();
+        seed(&mut s);
+        let db = s.db().clone();
+        let tid = db
+            .catalog()
+            .get("person")
+            .unwrap()
+            .index_probe_stable(ColumnId(0), &Value::Int(1));
+        let page = tid.unwrap()[0].page;
+        // Push the page out of the pool, then damage its image on disk.
+        db.buffer_pool().clear().unwrap();
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(db.buffer_pool().disk().path())
+            .unwrap();
+        let at = page.0 as u64 * instant_storage::page::PAGE_SIZE as u64 + 100;
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.write_all(&[0xFF; 16]).unwrap();
+        file.sync_all().unwrap();
+        let err = s
+            .execute("SELECT name FROM person WHERE id = 1")
+            .unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn delete_reports_a_lock_conflict_instead_of_undercounting() {
+        let (_clock, mut s) = setup();
+        seed(&mut s);
+        let db = s.db().clone();
+        let table = db.catalog().get("person").unwrap();
+        let tid = table
+            .index_probe_stable(ColumnId(0), &Value::Int(2))
+            .unwrap()[0];
+        // An older reader holds bob's tuple: the DELETE's younger write
+        // transaction dies on it under wait-die.
+        let reader = db.tx_manager().begin();
+        reader
+            .lock(Resource::Table(table.id()), LockMode::IntentionShared)
+            .unwrap();
+        reader
+            .lock(Resource::Tuple(table.id(), tid), LockMode::Shared)
+            .unwrap();
+        let err = s.execute("DELETE FROM person WHERE id = 2").unwrap_err();
+        assert!(matches!(err, Error::TxConflict(_)), "{err:?}");
+        assert!(table.exists(tid), "the conflict removed nothing");
+        reader.commit().unwrap();
+        let out = s.execute("DELETE FROM person WHERE id = 2").unwrap();
+        assert_eq!(out, QueryOutput::Deleted(1));
     }
 
     #[test]

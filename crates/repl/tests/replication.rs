@@ -456,9 +456,12 @@ impl Drop for Proc {
 }
 
 fn select_ids(client: &mut Client) -> Vec<i64> {
+    try_select_ids(client).unwrap()
+}
+
+fn try_select_ids(client: &mut Client) -> instant_common::Result<Vec<i64>> {
     let mut ids: Vec<i64> = client
-        .query("SELECT id FROM person")
-        .unwrap()
+        .query("SELECT id FROM person")?
         .rows()
         .rows
         .into_iter()
@@ -468,7 +471,7 @@ fn select_ids(client: &mut Client) -> Vec<i64> {
         })
         .collect();
     ids.sort_unstable();
-    ids
+    Ok(ids)
 }
 
 #[test]
@@ -573,13 +576,19 @@ fn kill_leader_midburst_follower_reconnects_and_converges() {
     let mut rclient = Client::connect(&replica_addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        if select_ids(&mut rclient) == leader_ids {
+        // The table was created after the follower first connected, so
+        // the follower learns it only once it has redialed the restarted
+        // leader: until then the table is missing, i.e. not converged.
+        let follower = match try_select_ids(&mut rclient) {
+            Err(Error::NotFound(_)) => None,
+            other => Some(other.unwrap()),
+        };
+        if follower.as_ref() == Some(&leader_ids) {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "follower never converged: leader={leader_ids:?} follower={:?}",
-            select_ids(&mut rclient)
+            "follower never converged: leader={leader_ids:?} follower={follower:?}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }

@@ -8,7 +8,11 @@
 //! └──────────────┴───────────┴──────────────────┘
 //! ```
 //!
-//! where `len` counts the kind byte plus the body. A connection starts
+//! where `len` counts the kind byte plus the body. A frame leaves in one
+//! `write` call: the encoder reserves the prefix in the same buffer as the
+//! payload, so no frame is ever split into a tiny prefix segment that
+//! Nagle's algorithm would hold back until the peer's delayed ACK. Both
+//! ends also set `TCP_NODELAY` on their sockets. A connection starts
 //! with a `Hello` exchange: the client's `Hello` carries the 4-byte magic
 //! `IDBW` and the protocol version, the server answers with its own
 //! `Hello` (version + banner) or an `Error` frame and closes. After the
@@ -99,8 +103,10 @@ impl Frame {
         Error::from_class(class, message)
     }
 
+    /// The frame's wire image with its `len` prefix still unfilled (see
+    /// [`frame_buf`]).
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = frame_buf();
         match self {
             Frame::Hello { version, banner } => {
                 out.push(KIND_HELLO);
@@ -359,20 +365,37 @@ fn decode_hist(buf: &mut &[u8]) -> Result<HistogramSnapshot> {
     Ok(h)
 }
 
+/// Bytes of the `len` prefix in front of every frame.
+const LEN_PREFIX: usize = 4;
+
+/// An empty frame image: the `len` prefix reserved (zeroed) ahead of the
+/// kind byte, so the encoder writes the payload in place and
+/// [`write_payload`] fills the prefix in without a second copy.
+fn frame_buf() -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&[0; LEN_PREFIX]);
+    out
+}
+
 /// Write one frame (length prefix + payload) and flush it. A payload
 /// that cannot be described by the u32 length prefix is refused with
 /// [`Error::Capacity`] — truncating the prefix would desynchronize the
 /// peer's framing.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<()> {
-    write_payload(w, &frame.encode())
+    write_payload(w, frame.encode())
 }
 
-/// Length-prefix + payload + flush — the one place framing is written.
-fn write_payload(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| Error::Capacity(format!("frame of {} bytes overflows u32", payload.len())))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+/// Fill the reserved length prefix of an encoded frame, then hand prefix
+/// and payload to the stream in **one** `write_all` and flush — the one
+/// place framing is written. A single write matters on TCP: a prefix
+/// sent on its own is a small segment, and with Nagle's algorithm the
+/// payload behind it waits for the peer's delayed ACK (~40 ms).
+fn write_payload(w: &mut impl Write, mut frame: Vec<u8>) -> Result<()> {
+    let payload_len = frame.len() - LEN_PREFIX;
+    let len = u32::try_from(payload_len)
+        .map_err(|_| Error::Capacity(format!("frame of {payload_len} bytes overflows u32")))?;
+    frame[..LEN_PREFIX].copy_from_slice(&len.to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -383,17 +406,17 @@ fn write_payload(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// to drop the connection — a typed error keeps it alive and pairs with
 /// the request). Returns whether the original frame fit.
 pub fn write_frame_capped(w: &mut impl Write, frame: &Frame, max_frame_bytes: u32) -> Result<bool> {
-    let payload = frame.encode();
-    if payload.len() as u64 > u64::from(max_frame_bytes) {
+    let encoded = frame.encode();
+    let payload_len = encoded.len() - LEN_PREFIX;
+    if payload_len as u64 > u64::from(max_frame_bytes) {
         let e = Error::Capacity(format!(
-            "response frame of {} bytes exceeds the {max_frame_bytes}-byte limit; \
-             narrow the query",
-            payload.len()
+            "response frame of {payload_len} bytes exceeds the {max_frame_bytes}-byte limit; \
+             narrow the query"
         ));
         write_frame(w, &Frame::error(&e))?;
         return Ok(false);
     }
-    write_payload(w, &payload)?;
+    write_payload(w, encoded)?;
     Ok(true)
 }
 
@@ -536,8 +559,10 @@ pub enum SegFrame {
 }
 
 impl SegFrame {
+    /// The frame's wire image with its `len` prefix still unfilled (see
+    /// [`frame_buf`]).
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = frame_buf();
         let put_lsns = |out: &mut Vec<u8>, lsns: &[u64]| {
             raw::put_u32(out, lsns.len() as u32);
             for l in lsns {
@@ -665,7 +690,7 @@ impl SegFrame {
 
 /// Write one SEGS frame (length prefix + payload) and flush it.
 pub fn write_seg_frame(w: &mut impl Write, frame: &SegFrame) -> Result<()> {
-    write_payload(w, &frame.encode())
+    write_payload(w, frame.encode())
 }
 
 /// Read one SEGS frame; `Ok(None)` on a clean disconnect at a frame
@@ -922,6 +947,66 @@ mod tests {
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
         // Clean disconnect is still None on the replication reader.
         assert!(read_seg_frame(&mut (&[] as &[u8]), 1024).unwrap().is_none());
+    }
+
+    /// A `Write` that counts the calls that reach it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        let frames = vec![
+            client_hello("one-write"),
+            Frame::Query {
+                sql: "SELECT * FROM person".into(),
+            },
+            Frame::ResultSet(QueryOutput::Inserted(1)),
+            Frame::Ping,
+            Frame::Stats(Box::new(sample_snapshot())),
+        ];
+        for f in frames {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &f).unwrap();
+            assert_eq!(w.writes, 1, "{f:?}");
+            let back = read_frame(&mut w.bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+            assert_eq!(back, Some(f));
+        }
+        // The capped path, on both the fitting and the replaced branch.
+        let rows = Frame::ResultSet(QueryOutput::Deleted(7));
+        let mut w = CountingWriter::default();
+        assert!(write_frame_capped(&mut w, &rows, 1024).unwrap());
+        assert_eq!(w.writes, 1);
+        let mut w = CountingWriter::default();
+        assert!(
+            !write_frame_capped(&mut w, &Frame::Stats(Box::new(sample_snapshot())), 8).unwrap()
+        );
+        assert_eq!(w.writes, 1);
+        // Replication frames share the framing.
+        let seg = SegFrame::Segment {
+            shard: 1,
+            seqno: 2,
+            first_lsn: 3,
+            bytes: vec![0xAB; 10_000],
+        };
+        let mut w = CountingWriter::default();
+        write_seg_frame(&mut w, &seg).unwrap();
+        assert_eq!(w.writes, 1);
+        let back = read_seg_frame(&mut w.bytes.as_slice(), DEFAULT_MAX_FRAME_BYTES).unwrap();
+        assert_eq!(back, Some(seg));
     }
 
     #[test]

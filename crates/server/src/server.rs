@@ -21,6 +21,12 @@
 //!   mid-query costs one failed write (`dropped_replies`), never a
 //!   worker.
 //!
+//! Every accepted socket — served or refused — has `TCP_NODELAY` set, as
+//! the client's and the replication links' sockets do, and every frame
+//! goes out in one `write` (see [`protocol`]). Together they keep a reply
+//! from waiting on Nagle's algorithm for the peer's delayed ACK, which
+//! otherwise adds ~40 ms to each request/reply round trip.
+//!
 //! [`Server::shutdown`] tears down in dependency order: stop admitting,
 //! unblock and join the readers, drain the worker queue (in-flight
 //! queries finish and their commits are acknowledged), stop the
@@ -547,6 +553,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// is consumed first so the refusal arrives as data + FIN rather than
 /// being destroyed by an RST for unread input.
 fn refuse(mut stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(StdDuration::from_secs(1)));
     let _ = stream.set_write_timeout(Some(StdDuration::from_secs(1)));
     // lint:allow(L006, refusal is best-effort: the socket is being dropped and the peer may already be gone)
@@ -561,6 +568,9 @@ fn refuse(mut stream: TcpStream) {
 }
 
 fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
+    // No Nagle delay on replies (the socket option, like the timeouts
+    // below, is shared with the write-side clone).
+    let _ = stream.set_nodelay(true);
     // Timeouts apply to the socket, so the write-side clone taken below
     // inherits them: replies to a client that stopped reading fail after
     // `write_timeout` per syscall instead of parking a worker forever.

@@ -28,6 +28,26 @@ const CREATE_PERSON: &str = "CREATE TABLE person (id INT INDEXED, \
      location TEXT DEGRADE USING location_gt \
      LCP 'address:1h -> city:1d -> region:1mo -> country:1mo' INDEXED)";
 
+/// A reply split across two writes on a socket with Nagle's algorithm
+/// on waits for the client's delayed ACK (~40 ms on Linux), so 200
+/// round trips would take at least 8 s. One write per frame and
+/// `TCP_NODELAY` on both ends keep them at engine speed.
+#[test]
+fn sequential_round_trips_do_not_wait_for_delayed_acks() {
+    let server = ephemeral_server(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
+    client.query(CREATE_PERSON).unwrap();
+    let started = Instant::now();
+    for _ in 0..200 {
+        client.query("SELECT id FROM person WHERE id = 1").unwrap();
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "200 round trips took {took:?}: replies are waiting on delayed ACKs"
+    );
+}
+
 #[test]
 fn wire_round_trip_and_session_state() {
     let server = ephemeral_server(ServerConfig::default());

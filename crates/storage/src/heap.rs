@@ -1,8 +1,7 @@
 //! Heap file: the record store for one table.
 //!
-//! A heap file is a set of slotted pages reached through the buffer pool,
-//! plus an in-memory free-space map (rebuilt on open). Its API is shaped by
-//! degradation:
+//! A heap file is a set of slotted pages reached through the buffer pool.
+//! Its API is shaped by degradation:
 //!
 //! * `insert(bytes, reserve_cap)` reserves the life-cycle-maximum capacity so
 //!   later `update`s (degradation rewrites) never relocate the tuple;
@@ -10,6 +9,29 @@
 //!   guarantee physical erasure of the finer state;
 //! * `vacuum` compacts pages and scrubs residue left by naive deletes;
 //! * `raw_image` hands the forensic scanner the attacker's view.
+//!
+//! # Free-space map
+//!
+//! Beside the page list, under the same rank-340 mutex, the heap keeps an
+//! in-memory free-space map: each page's contiguous free bytes, or
+//! *unknown*. Placement is first fit over the pages, newest first, asking
+//! [`slotted::fits`](crate::slotted::fits) of the recorded bytes — the
+//! same question [`SlottedPage::can_insert`] asks of the page — so an
+//! insert reads and dirties only the page it lands on. Invariants:
+//!
+//! * A known entry equals the page's contiguous free bytes. Only
+//!   `SlottedPage::insert` and `SlottedPage::compact` change that value
+//!   (`update` rewrites inside a slot's reserved capacity, `delete`
+//!   leaves its space to the next compaction). `insert` records the
+//!   value it leaves behind before releasing the mutex, and `vacuum`
+//!   marks each page it compacts unknown again after compacting it.
+//! * An unknown page is probed once, under its read latch, the first time
+//!   an insert's walk reaches it. Pages reattached after a restart start
+//!   unknown, so the map is rebuilt lazily from the pages themselves.
+//!
+//! Placement is therefore exactly the first fit the page-by-page walk
+//! would choose. Scans, reads and `live_count` take only read latches,
+//! so they never dirty a page they merely look at.
 
 use std::sync::Arc;
 
@@ -20,20 +42,27 @@ use instant_common::{PageId, Result, TupleId};
 use crate::buffer::BufferPool;
 use crate::page::PAGE_PAYLOAD;
 use crate::secure::SecurePolicy;
-use crate::slotted::SlottedPage;
+use crate::slotted::{fits, SlottedPage};
+
+/// The page list and its free-space map; see the module docs.
+struct Pages {
+    /// Pages owned by this heap, in allocation order.
+    ids: Vec<PageId>,
+    /// `free[i]`: contiguous free bytes of `ids[i]`, `None` until probed.
+    free: Vec<Option<usize>>,
+}
 
 /// A record store over slotted pages.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
-    /// Pages owned by this heap, in allocation order.
-    pages: Mutex<Vec<PageId>>, // lock-rank: 340
+    pages: Mutex<Pages>, // lock-rank: 340
     policy: SecurePolicy,
 }
 
 impl std::fmt::Debug for HeapFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HeapFile")
-            .field("pages", &self.pages.lock().len())
+            .field("pages", &self.pages.lock().ids.len())
             .field("policy", &self.policy)
             .finish()
     }
@@ -42,18 +71,16 @@ impl std::fmt::Debug for HeapFile {
 impl HeapFile {
     /// Create an empty heap over `pool` with the given deletion policy.
     pub fn create(pool: Arc<BufferPool>, policy: SecurePolicy) -> HeapFile {
-        HeapFile {
-            pool,
-            pages: Mutex::ranked(340, Vec::new()),
-            policy,
-        }
+        HeapFile::attach(pool, Vec::new(), policy)
     }
 
     /// Reattach a heap whose pages are already on disk (after restart).
+    /// Their free space is unknown until an insert first probes them.
     pub fn attach(pool: Arc<BufferPool>, pages: Vec<PageId>, policy: SecurePolicy) -> HeapFile {
+        let free = vec![None; pages.len()];
         HeapFile {
             pool,
-            pages: Mutex::ranked(340, pages),
+            pages: Mutex::ranked(340, Pages { ids: pages, free }),
             policy,
         }
     }
@@ -64,7 +91,7 @@ impl HeapFile {
 
     /// The page ids owned by this heap (for catalog persistence).
     pub fn page_ids(&self) -> Vec<PageId> {
-        self.pages.lock().clone()
+        self.pages.lock().ids.clone()
     }
 
     /// Largest record capacity a single page can hold.
@@ -83,40 +110,53 @@ impl HeapFile {
             )));
         }
         let mut pages = self.pages.lock();
-        // First-fit over existing pages, newest first (most likely space).
-        for &pid in pages.iter().rev() {
-            // lint:allow(L102, first-fit holds the page-table lock across the pool call; a fault may evict and write back one dirty page — bounded by design)
-            let inserted = self.pool.with_page_mut(pid, |page| {
-                let mut sp = SlottedPage::new(page.payload_mut());
-                if sp.can_insert(cap) {
-                    sp.insert(bytes, cap).ok()
-                } else {
-                    None
+        // First fit over the free-space map, newest page first (most
+        // likely space).
+        for i in (0..pages.ids.len()).rev() {
+            let pid = pages.ids[i];
+            let free = match pages.free[i] {
+                Some(free) => free,
+                None => {
+                    // lint:allow(L102, a page is probed only while its map entry is unknown (after attach or vacuum), under its read latch; a fault may write back one dirty victim)
+                    let free = self.pool.with_page(pid, |page| {
+                        SlottedPage::view(page.payload()).contiguous_free()
+                    })?;
+                    pages.free[i] = Some(free);
+                    free
                 }
-            })?;
-            if let Some(slot) = inserted {
-                return Ok(TupleId { page: pid, slot });
+            };
+            if !fits(free, cap) {
+                continue;
             }
+            // lint:allow(L102, the chosen page is written under the page-list lock so its map entry is updated atomically with it; a fault may write back one dirty victim)
+            let (slot, free) = self.pool.with_page_mut(pid, |page| {
+                let mut sp = SlottedPage::new(page.payload_mut());
+                sp.insert(bytes, cap)
+                    .map(|slot| (slot, sp.contiguous_free()))
+            })??;
+            pages.free[i] = Some(free);
+            return Ok(TupleId { page: pid, slot });
         }
         // Allocate a new page.
         // lint:allow(L102, allocation under the page-table lock may evict and write back one dirty page — bounded by design)
         let pid = self.pool.allocate_page()?;
-        pages.push(pid);
         // lint:allow(L102, the fresh page is initialized under the page-table lock so no scan sees it half-formatted; a fault may write back one dirty page)
-        let slot = self.pool.with_page_mut(pid, |page| {
+        let (slot, free) = self.pool.with_page_mut(pid, |page| {
             let mut sp = SlottedPage::init(page.payload_mut());
             sp.insert(bytes, cap)
+                .map(|slot| (slot, sp.contiguous_free()))
         })??;
+        pages.ids.push(pid);
+        pages.free.push(Some(free));
         Ok(TupleId { page: pid, slot })
     }
 
     /// Read a record.
     pub fn read(&self, tid: TupleId) -> Result<Vec<u8>> {
         self.pool.with_page(tid.page, |page| {
-            // SlottedPage::new requires &mut; build a read view via clone of
-            // the payload — avoided by a tiny unsafe-free trick: copy out.
-            let payload = page.payload();
-            read_slot_bytes(payload, tid)
+            SlottedPage::view(page.payload())
+                .read(tid.slot)
+                .map(<[u8]>::to_vec)
         })?
     }
 
@@ -142,53 +182,69 @@ impl HeapFile {
     pub fn exists(&self, tid: TupleId) -> bool {
         self.pool
             .with_page(tid.page, |page| {
-                let payload = page.payload();
-                read_slot_bytes(payload, tid).is_ok()
+                SlottedPage::view(page.payload()).is_live(tid.slot)
             })
             .unwrap_or(false)
     }
 
+    /// Visit every page once, in page order, under its read latch.
+    fn for_each_page(&self, mut f: impl FnMut(PageId, &SlottedPage<&[u8]>)) -> Result<()> {
+        let pages = self.pages.lock().ids.clone();
+        for pid in pages {
+            self.pool
+                .with_page(pid, |page| f(pid, &SlottedPage::view(page.payload())))?;
+        }
+        Ok(())
+    }
+
     /// All live tuple ids, in page order.
     pub fn scan_ids(&self) -> Result<Vec<TupleId>> {
-        let pages = self.pages.lock().clone();
         let mut out = Vec::new();
-        for pid in pages {
-            let slots = self.pool.with_page_mut(pid, |page| {
-                let sp = SlottedPage::new(page.payload_mut());
+        self.for_each_page(|page, sp| {
+            out.extend(
                 sp.live_slots()
-            })?;
-            out.extend(slots.into_iter().map(|slot| TupleId { page: pid, slot }));
-        }
+                    .into_iter()
+                    .map(|slot| TupleId { page, slot }),
+            );
+        })?;
         Ok(out)
     }
 
-    /// Full scan: `(tuple id, record bytes)` pairs.
+    /// Full scan: `(tuple id, record bytes)` pairs, in page order.
     pub fn scan(&self) -> Result<Vec<(TupleId, Vec<u8>)>> {
-        let ids = self.scan_ids()?;
-        let mut out = Vec::with_capacity(ids.len());
-        for tid in ids {
-            out.push((tid, self.read(tid)?));
-        }
+        let mut out = Vec::new();
+        self.for_each_page(|page, sp| {
+            out.extend(
+                sp.live_records()
+                    .map(|(slot, bytes)| (TupleId { page, slot }, bytes.to_vec())),
+            );
+        })?;
         Ok(out)
     }
 
     /// Vacuum every page: compact slots and scrub residue. Returns total
     /// bytes reclaimed (experiment E12).
     pub fn vacuum(&self) -> Result<usize> {
-        let pages = self.pages.lock().clone();
+        let pages = self.pages.lock().ids.clone();
         let mut reclaimed = 0usize;
-        for pid in pages {
+        for (i, pid) in pages.into_iter().enumerate() {
             reclaimed += self.pool.with_page_mut(pid, |page| {
                 let mut sp = SlottedPage::new(page.payload_mut());
                 sp.compact()
             })?;
+            // After the compaction, never before: an insert that lands in
+            // between records the post-compaction value, and this only
+            // makes the next insert probe the page again.
+            self.pages.lock().free[i] = None;
         }
         Ok(reclaimed)
     }
 
     /// Number of live tuples.
     pub fn live_count(&self) -> Result<usize> {
-        Ok(self.scan_ids()?.len())
+        let mut n = 0;
+        self.for_each_page(|_, sp| n += sp.live_records().count())?;
+        Ok(n)
     }
 
     /// Flush all pages and return the raw on-disk image (forensic view).
@@ -199,30 +255,8 @@ impl HeapFile {
 
     /// Total pages owned.
     pub fn page_count(&self) -> usize {
-        self.pages.lock().len()
+        self.pages.lock().ids.len()
     }
-}
-
-/// Decode the slotted directory from an immutable payload to read one slot.
-fn read_slot_bytes(payload: &[u8], tid: TupleId) -> Result<Vec<u8>> {
-    // Mirror of SlottedPage::read for the immutable path.
-    let nslots = u16::from_le_bytes(payload[0..2].try_into().unwrap()); // lint:allow(L001, fixed-width slice of a checked-length payload)
-    if tid.slot.0 >= nslots {
-        return Err(instant_common::Error::NotFound(format!(
-            "slot {} out of range",
-            tid.slot
-        )));
-    }
-    let p = payload.len() - (tid.slot.0 as usize + 1) * 6;
-    let offset = u16::from_le_bytes(payload[p..p + 2].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
-    let cap = u16::from_le_bytes(payload[p + 2..p + 4].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
-    let len = u16::from_le_bytes(payload[p + 4..p + 6].try_into().unwrap()) as usize; // lint:allow(L001, fixed-width slice of a checked-length payload)
-    if cap == 0 {
-        return Err(instant_common::Error::NotFound(format!(
-            "tuple {tid} deleted"
-        )));
-    }
-    Ok(payload[offset..offset + len].to_vec())
 }
 
 #[cfg(test)]

@@ -34,9 +34,12 @@ const SLOT_BYTES: usize = 6;
 
 /// A view over a page payload implementing the slotted layout.
 ///
-/// The view borrows the payload mutably; it is cheap to construct on demand.
-pub struct SlottedPage<'a> {
-    buf: &'a mut [u8],
+/// `B` is the borrowed payload: `&mut [u8]` for the writable view that
+/// [`SlottedPage::new`] / [`SlottedPage::init`] build, `&[u8]` for the
+/// read-only one [`SlottedPage::view`] builds under a page's read latch.
+/// Both are cheap to construct on demand.
+pub struct SlottedPage<B> {
+    buf: B,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,16 +49,16 @@ struct Slot {
     len: u16,
 }
 
-impl<'a> SlottedPage<'a> {
+impl<'a> SlottedPage<&'a mut [u8]> {
     /// Interpret `buf` (a page payload) as a slotted page. Call
     /// [`SlottedPage::init`] first on fresh pages.
-    pub fn new(buf: &'a mut [u8]) -> SlottedPage<'a> {
+    pub fn new(buf: &'a mut [u8]) -> SlottedPage<&'a mut [u8]> {
         debug_assert!(buf.len() <= PAGE_PAYLOAD);
         SlottedPage { buf }
     }
 
     /// Format an empty slotted page.
-    pub fn init(buf: &'a mut [u8]) -> SlottedPage<'a> {
+    pub fn init(buf: &'a mut [u8]) -> SlottedPage<&'a mut [u8]> {
         let len = buf.len();
         let mut p = SlottedPage { buf };
         p.set_nslots(0);
@@ -63,28 +66,37 @@ impl<'a> SlottedPage<'a> {
         p.set_free_end(len as u16);
         p
     }
+}
 
-    fn nslots(&self) -> u16 {
-        u16::from_le_bytes(self.buf[0..2].try_into().unwrap()) // lint:allow(L001, fixed-width header slice)
+impl<'a> SlottedPage<&'a [u8]> {
+    /// A read-only view of a formatted page payload.
+    pub fn view(buf: &'a [u8]) -> SlottedPage<&'a [u8]> {
+        debug_assert!(buf.len() <= PAGE_PAYLOAD);
+        SlottedPage { buf }
     }
-    fn set_nslots(&mut self, v: u16) {
-        self.buf[0..2].copy_from_slice(&v.to_le_bytes());
+}
+
+/// The read side, shared by both views.
+impl<B: AsRef<[u8]>> SlottedPage<B> {
+    fn bytes(&self) -> &[u8] {
+        self.buf.as_ref()
+    }
+
+    fn header(&self, at: usize) -> u16 {
+        u16::from_le_bytes(self.bytes()[at..at + 2].try_into().unwrap()) // lint:allow(L001, fixed-width header slice)
+    }
+    fn nslots(&self) -> u16 {
+        self.header(0)
     }
     fn free_start(&self) -> u16 {
-        u16::from_le_bytes(self.buf[2..4].try_into().unwrap()) // lint:allow(L001, fixed-width header slice)
-    }
-    fn set_free_start(&mut self, v: u16) {
-        self.buf[2..4].copy_from_slice(&v.to_le_bytes());
+        self.header(2)
     }
     fn free_end(&self) -> u16 {
-        u16::from_le_bytes(self.buf[4..6].try_into().unwrap()) // lint:allow(L001, fixed-width header slice)
-    }
-    fn set_free_end(&mut self, v: u16) {
-        self.buf[4..6].copy_from_slice(&v.to_le_bytes());
+        self.header(4)
     }
 
     fn slot_pos(&self, slot: SlotId) -> usize {
-        self.buf.len() - (slot.0 as usize + 1) * SLOT_BYTES
+        self.bytes().len() - (slot.0 as usize + 1) * SLOT_BYTES
     }
 
     fn read_slot(&self, slot: SlotId) -> Result<Slot> {
@@ -92,31 +104,102 @@ impl<'a> SlottedPage<'a> {
             return Err(Error::NotFound(format!("slot {slot} out of range")));
         }
         let p = self.slot_pos(slot);
+        let b = self.bytes();
         Ok(Slot {
-            offset: u16::from_le_bytes(self.buf[p..p + 2].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
-            cap: u16::from_le_bytes(self.buf[p + 2..p + 4].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
-            len: u16::from_le_bytes(self.buf[p + 4..p + 6].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
+            offset: u16::from_le_bytes(b[p..p + 2].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
+            cap: u16::from_le_bytes(b[p + 2..p + 4].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
+            len: u16::from_le_bytes(b[p + 4..p + 6].try_into().unwrap()), // lint:allow(L001, fixed-width directory slice)
         })
     }
 
-    fn write_slot(&mut self, slot: SlotId, s: Slot) {
-        let p = self.slot_pos(slot);
-        self.buf[p..p + 2].copy_from_slice(&s.offset.to_le_bytes());
-        self.buf[p + 2..p + 4].copy_from_slice(&s.cap.to_le_bytes());
-        self.buf[p + 4..p + 6].copy_from_slice(&s.len.to_le_bytes());
-    }
-
     /// Contiguous free bytes between record space and slot directory.
+    /// Only [`SlottedPage::insert`] and [`SlottedPage::compact`] change
+    /// it: `update` rewrites inside a slot's reserved capacity and
+    /// `delete` leaves its space to the next compaction.
     pub fn contiguous_free(&self) -> usize {
         (self.free_end() as usize).saturating_sub(self.free_start() as usize)
     }
 
     /// Can a record with capacity `cap` be inserted (counting a possibly new
-    /// slot directory entry)?
+    /// slot directory entry)? Depends on [`SlottedPage::contiguous_free`]
+    /// alone.
     pub fn can_insert(&self, cap: usize) -> bool {
-        // A tombstone slot may be reusable without directory growth, but we
-        // answer conservatively for the common case (new slot entry).
-        self.contiguous_free() >= cap + SLOT_BYTES
+        fits(self.contiguous_free(), cap)
+    }
+
+    /// Read the live record in `slot`.
+    pub fn read(&self, slot: SlotId) -> Result<&[u8]> {
+        let s = self.read_slot(slot)?;
+        if s.cap == 0 {
+            return Err(Error::NotFound(format!("slot {slot} is deleted")));
+        }
+        let off = s.offset as usize;
+        Ok(&self.bytes()[off..off + s.len as usize])
+    }
+
+    /// Is `slot` live?
+    pub fn is_live(&self, slot: SlotId) -> bool {
+        matches!(self.read_slot(slot), Ok(s) if s.cap > 0)
+    }
+
+    /// Number of directory entries (live + tombstoned).
+    pub fn slot_count(&self) -> u16 {
+        self.nslots()
+    }
+
+    /// Live slot ids.
+    pub fn live_slots(&self) -> Vec<SlotId> {
+        self.live_records().map(|(slot, _)| slot).collect()
+    }
+
+    /// Every live record with its slot id, in slot order.
+    pub fn live_records(&self) -> impl Iterator<Item = (SlotId, &[u8])> + '_ {
+        (0..self.nslots()).filter_map(move |i| {
+            let s = self.read_slot(SlotId(i)).ok()?;
+            let off = s.offset as usize;
+            (s.cap > 0).then(|| (SlotId(i), &self.bytes()[off..off + s.len as usize]))
+        })
+    }
+
+    /// Bytes consumed by live record capacities.
+    pub fn live_bytes(&self) -> usize {
+        (0..self.nslots())
+            .filter_map(|i| self.read_slot(SlotId(i)).ok())
+            .map(|s| s.cap as usize)
+            .sum()
+    }
+}
+
+/// Would a record of capacity `cap` fit in `contiguous_free` bytes,
+/// counting a possibly new slot directory entry? A tombstone slot may be
+/// reusable without directory growth, but the answer is conservative for
+/// the common case (new slot entry). The heap's free-space map asks this
+/// of its recorded free bytes instead of reading the page.
+pub fn fits(contiguous_free: usize, cap: usize) -> bool {
+    contiguous_free >= cap + SLOT_BYTES
+}
+
+/// The write side.
+impl<B: AsRef<[u8]> + AsMut<[u8]>> SlottedPage<B> {
+    fn set_header(&mut self, at: usize, v: u16) {
+        self.buf.as_mut()[at..at + 2].copy_from_slice(&v.to_le_bytes());
+    }
+    fn set_nslots(&mut self, v: u16) {
+        self.set_header(0, v);
+    }
+    fn set_free_start(&mut self, v: u16) {
+        self.set_header(2, v);
+    }
+    fn set_free_end(&mut self, v: u16) {
+        self.set_header(4, v);
+    }
+
+    fn write_slot(&mut self, slot: SlotId, s: Slot) {
+        let p = self.slot_pos(slot);
+        let b = self.buf.as_mut();
+        b[p..p + 2].copy_from_slice(&s.offset.to_le_bytes());
+        b[p + 2..p + 4].copy_from_slice(&s.cap.to_le_bytes());
+        b[p + 4..p + 6].copy_from_slice(&s.len.to_le_bytes());
     }
 
     /// Insert `data`, reserving `cap >= data.len()` bytes. Returns the slot.
@@ -171,20 +254,10 @@ impl<'a> SlottedPage<'a> {
             },
         );
         let off = offset as usize;
-        self.buf[off..off + data.len()].copy_from_slice(data);
+        self.buf.as_mut()[off..off + data.len()].copy_from_slice(data);
         // Zero the reserved tail so stale bytes never linger in the reserve.
-        self.buf[off + data.len()..off + cap].fill(0);
+        self.buf.as_mut()[off + data.len()..off + cap].fill(0);
         Ok(slot)
-    }
-
-    /// Read the live record in `slot`.
-    pub fn read(&self, slot: SlotId) -> Result<&[u8]> {
-        let s = self.read_slot(slot)?;
-        if s.cap == 0 {
-            return Err(Error::NotFound(format!("slot {slot} is deleted")));
-        }
-        let off = s.offset as usize;
-        Ok(&self.buf[off..off + s.len as usize])
     }
 
     /// Rewrite the record in place. Fails with [`Error::Capacity`] if `data`
@@ -205,15 +278,15 @@ impl<'a> SlottedPage<'a> {
         }
         let off = s.offset as usize;
         if policy.overwrites() {
-            self.buf[off..off + s.cap as usize].fill(0);
+            self.buf.as_mut()[off..off + s.cap as usize].fill(0);
         }
-        self.buf[off..off + data.len()].copy_from_slice(data);
+        self.buf.as_mut()[off..off + data.len()].copy_from_slice(data);
         if !policy.overwrites() {
             // Naive mode mimics a classical engine: the tail beyond the new
             // length keeps its stale bytes — exactly the forensic leak the
             // paper warns about. (Deliberate, for experiment E8.)
         } else {
-            self.buf[off + data.len()..off + s.cap as usize].fill(0);
+            self.buf.as_mut()[off + data.len()..off + s.cap as usize].fill(0);
         }
         self.write_slot(
             slot,
@@ -235,7 +308,7 @@ impl<'a> SlottedPage<'a> {
         }
         if policy.overwrites() {
             let off = s.offset as usize;
-            self.buf[off..off + s.cap as usize].fill(0);
+            self.buf.as_mut()[off..off + s.cap as usize].fill(0);
         }
         self.write_slot(
             slot,
@@ -246,32 +319,6 @@ impl<'a> SlottedPage<'a> {
             },
         );
         Ok(())
-    }
-
-    /// Is `slot` live?
-    pub fn is_live(&self, slot: SlotId) -> bool {
-        matches!(self.read_slot(slot), Ok(s) if s.cap > 0)
-    }
-
-    /// Number of directory entries (live + tombstoned).
-    pub fn slot_count(&self) -> u16 {
-        self.nslots()
-    }
-
-    /// Live slot ids.
-    pub fn live_slots(&self) -> Vec<SlotId> {
-        (0..self.nslots())
-            .map(SlotId)
-            .filter(|s| self.is_live(*s))
-            .collect()
-    }
-
-    /// Bytes consumed by live record capacities.
-    pub fn live_bytes(&self) -> usize {
-        (0..self.nslots())
-            .filter_map(|i| self.read_slot(SlotId(i)).ok())
-            .map(|s| s.cap as usize)
-            .sum()
     }
 
     /// Vacuum: rewrite all live records contiguously, reclaiming tombstone
@@ -289,18 +336,22 @@ impl<'a> SlottedPage<'a> {
                 // Copy only the live length: any stale tail bytes inside the
                 // reserved capacity (naive-update residue) are scrubbed by
                 // the vacuum rather than carried along.
-                live.push((SlotId(i), s, self.buf[off..off + s.len as usize].to_vec()));
+                live.push((
+                    SlotId(i),
+                    s,
+                    self.bytes()[off..off + s.len as usize].to_vec(),
+                ));
             }
         }
         // Order by current offset to rewrite front-to-back safely.
         live.sort_by_key(|(_, s, _)| s.offset);
         // Zero the whole record region first (no stale residue after vacuum).
         let end = self.free_start() as usize;
-        self.buf[HDR..end].fill(0);
+        self.buf.as_mut()[HDR..end].fill(0);
         let mut cursor = HDR as u16;
         for (id, s, bytes) in live {
             let off = cursor as usize;
-            self.buf[off..off + bytes.len()].copy_from_slice(&bytes);
+            self.buf.as_mut()[off..off + bytes.len()].copy_from_slice(&bytes);
             self.write_slot(
                 id,
                 Slot {

@@ -87,6 +87,34 @@ struct Tables {
     grants: u64,
 }
 
+impl Tables {
+    /// Grant `mode` on `res` to `tx` (a no-op when a lock it holds
+    /// already covers it) unless another holder conflicts; then count the
+    /// conflict and return the conflicting holders.
+    fn try_grant(&mut self, tx: TxId, res: Resource, mode: LockMode) -> Option<Vec<TxId>> {
+        let entry = self.locks.entry(res).or_default();
+        if let Some((_, held)) = entry.holders.iter().find(|(h, _)| *h == tx) {
+            if held.covers(mode) {
+                return None;
+            }
+        }
+        let blockers = entry.conflicts_with(tx, mode);
+        if !blockers.is_empty() {
+            self.conflicts += 1;
+            return Some(blockers);
+        }
+        // Grant (possibly an upgrade: replace our entry).
+        if let Some(slot) = entry.holders.iter_mut().find(|(h, _)| *h == tx) {
+            slot.1 = strongest(slot.1, mode);
+        } else {
+            entry.holders.push((tx, mode));
+            self.held.entry(tx).or_default().push(res);
+        }
+        self.grants += 1;
+        None
+    }
+}
+
 /// The lock manager.
 #[derive(Debug)]
 pub struct LockManager {
@@ -114,26 +142,9 @@ impl LockManager {
     pub fn lock(&self, tx: TxId, res: Resource, mode: LockMode) -> Result<()> {
         let mut state = self.state.lock();
         loop {
-            let entry = state.locks.entry(res).or_default();
-            // Already covered?
-            if let Some((_, held)) = entry.holders.iter().find(|(h, _)| *h == tx) {
-                if held.covers(mode) {
-                    return Ok(());
-                }
-            }
-            let blockers = entry.conflicts_with(tx, mode);
-            if blockers.is_empty() {
-                // Grant (possibly an upgrade: replace our entry).
-                if let Some(slot) = entry.holders.iter_mut().find(|(h, _)| *h == tx) {
-                    slot.1 = strongest(slot.1, mode);
-                } else {
-                    entry.holders.push((tx, mode));
-                    state.held.entry(tx).or_default().push(res);
-                }
-                state.grants += 1;
+            let Some(blockers) = state.try_grant(tx, res, mode) else {
                 return Ok(());
-            }
-            state.conflicts += 1;
+            };
             // Wait-die: if any blocker is *older* (smaller id), we die.
             if blockers.iter().any(|b| b.0 < tx.0) {
                 state.aborts += 1;
@@ -142,6 +153,28 @@ impl LockManager {
                 )));
             }
             // All blockers younger: wait for them to finish.
+            self.cv.wait(&mut state);
+        }
+    }
+
+    /// Acquire `mode` on `res` for `tx` only if no other holder conflicts;
+    /// never waits and never dies. Returns whether the lock is held.
+    pub fn try_lock(&self, tx: TxId, res: Resource, mode: LockMode) -> bool {
+        self.state.lock().try_grant(tx, res, mode).is_none()
+    }
+
+    /// Block until `mode` on `res` is grantable to `tx` — every
+    /// conflicting holder, older or younger, has finished — without
+    /// taking it. Waiting regardless of age is deadlock-free only for a
+    /// caller that holds no lock any of those holders could come to wait
+    /// for; see `Db::insert`.
+    pub fn wait_grantable(&self, tx: TxId, res: Resource, mode: LockMode) {
+        let mut state = self.state.lock();
+        while state
+            .locks
+            .get(&res)
+            .is_some_and(|entry| !entry.conflicts_with(tx, mode).is_empty())
+        {
             self.cv.wait(&mut state);
         }
     }
@@ -236,6 +269,35 @@ mod tests {
         let (_, conflicts, aborts) = lm.counters();
         assert_eq!(conflicts, 1);
         assert_eq!(aborts, 1);
+    }
+
+    #[test]
+    fn try_lock_grants_or_refuses_but_never_waits_or_dies() {
+        let lm = LockManager::new();
+        assert!(lm.try_lock(TxId(2), tuple(0), LockMode::Exclusive));
+        // Older and younger requesters alike get a plain refusal.
+        assert!(!lm.try_lock(TxId(1), tuple(0), LockMode::Shared));
+        assert!(!lm.try_lock(TxId(3), tuple(0), LockMode::Exclusive));
+        assert!(lm.try_lock(TxId(2), tuple(0), LockMode::Shared), "covered");
+        let (_, conflicts, aborts) = lm.counters();
+        assert_eq!((conflicts, aborts), (2, 0));
+        lm.release_all(TxId(2));
+        assert!(lm.try_lock(TxId(3), tuple(0), LockMode::Exclusive));
+    }
+
+    #[test]
+    fn wait_grantable_outwaits_an_older_holder_without_taking_the_lock() {
+        let lm = Arc::new(LockManager::new());
+        lm.lock(TxId(1), tuple(0), LockMode::Exclusive).unwrap();
+        // Under wait-die Tx 5 would die here; wait_grantable waits.
+        let waiter = {
+            let lm = lm.clone();
+            std::thread::spawn(move || lm.wait_grantable(TxId(5), tuple(0), LockMode::Exclusive))
+        };
+        lm.release_all(TxId(1));
+        waiter.join().unwrap();
+        assert!(lm.held_by(TxId(5)).is_empty(), "nothing was granted");
+        assert_eq!(lm.counters().2, 0);
     }
 
     #[test]

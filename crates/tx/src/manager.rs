@@ -75,6 +75,21 @@ impl TxHandle {
         self.locks.lock(self.id, res, mode)
     }
 
+    /// Acquire a lock only if it is free of conflicting holders; never
+    /// waits or dies (see [`LockManager::try_lock`]).
+    pub fn try_lock(&self, res: Resource, mode: LockMode) -> Result<bool> {
+        self.check_active()?;
+        Ok(self.locks.try_lock(self.id, res, mode))
+    }
+
+    /// Wait until a lock is grantable without taking it, whatever the
+    /// holders' ages (see [`LockManager::wait_grantable`]).
+    pub fn wait_grantable(&self, res: Resource, mode: LockMode) -> Result<()> {
+        self.check_active()?;
+        self.locks.wait_grantable(self.id, res, mode);
+        Ok(())
+    }
+
     /// Commit: release all locks. The caller (core engine) is responsible
     /// for WAL-sync *before* calling this — WAL discipline lives a layer up.
     pub fn commit(&self) -> Result<()> {
