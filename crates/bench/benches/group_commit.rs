@@ -159,11 +159,11 @@ fn bench_commit_throughput(c: &mut Criterion) {
 
 /// Async-epoch committers with a bounded in-flight window, driven
 /// through [`Db::enqueue_records`]/[`CommitHandle`] — the server's
-/// pipelined path. A blocking committer can only ever have one commit
-/// in flight, so splitting it over K shards just dilutes every epoch by
-/// K (the fsyncs multiply and nothing is gained); a windowed submitter
-/// keeps every shard's epoch saturated, which is the workload the
-/// parallel backbone exists for.
+/// pipelined path. A blocking committer only ever has one commit in
+/// flight, so the router keeps such committers on one shard (splitting
+/// them would just dilute every epoch); a windowed submitter overflows
+/// each shard's spill depth and keeps every shard's epoch saturated,
+/// which is the workload the parallel backbone exists for.
 fn run_windowed_committers(db: &Arc<Db>, threads: u64, window: usize, commits: u64) {
     use std::collections::VecDeque;
     let at = db.now();
@@ -173,7 +173,8 @@ fn run_windowed_committers(db: &Arc<Db>, threads: u64, window: usize, commits: u
             s.spawn(move || {
                 let mut inflight: VecDeque<instant_core::CommitHandle> = VecDeque::new();
                 for i in 0..commits {
-                    // Distinct tx ids stripe the commits over the shards.
+                    // Distinct tx ids; the window, not the id, spreads
+                    // the commits over the shards.
                     let tx = instant_common::TxId(t * commits + i);
                     let records = vec![
                         instant_wal::LogRecord::Begin { tx, at },

@@ -141,10 +141,11 @@ fn bench_server_throughput(c: &mut Criterion) {
 /// The same 8-client closed-loop burst served from an engine with 1 vs
 /// 4 WAL shards. Blocking auto-commit clients are the *hardest* shape
 /// for sharding — each client has one commit in flight, so splitting C
-/// committers over K shards thins every epoch to ~C/K — which is
+/// committers over K shards would thin every epoch to ~C/K — which is
 /// exactly why it is the guardrail: multi-shard must not regress the
-/// classic serving path, and on multi-core runners the parallel fsync
-/// streams should still come out ahead. The pipelined win lives in
+/// classic serving path. The commit router keeps the eight clients
+/// (below its spill depth) on one shard, so both lines share fsyncs
+/// alike. The pipelined win lives in
 /// `group_commit.rs::wal_shard_scaling` (windowed `CommitHandle`
 /// committers).
 fn bench_shard_throughput(c: &mut Criterion) {

@@ -261,10 +261,12 @@ impl Db {
     /// server path). No caller needs to branch on
     /// [`DbConfig::group_commit`].
     ///
-    /// Routing: one batch lands on one WAL shard (keyed by the batch's
-    /// transaction id), so a transaction's records stay contiguous in
-    /// its shard's byte stream while unrelated transactions drain and
-    /// fsync on other shards in parallel.
+    /// Routing: one batch lands on one WAL shard, so a transaction's
+    /// records stay contiguous in its shard's byte stream. The pipeline
+    /// set fills shards in order up to a fixed number of commits in
+    /// flight ([`GroupCommitSet::submit_routed`]), so a light load shares
+    /// one shard's fsyncs and a backlog drains and fsyncs on several
+    /// shards in parallel; the inline path stripes by transaction id.
     pub fn enqueue_records(&self, records: Vec<LogRecord>) -> Result<CommitHandle> {
         let _shared = self.ckpt_gate.read();
         self.enqueue_records_gated(records)
@@ -287,10 +289,10 @@ impl Db {
         // Span-gated: with the pipeline this measures the enqueue alone;
         // inline it covers the whole append + fsync.
         let _submit = self.obs.span(Stage::CommitSubmit);
-        let shard = wal.shard_for_batch(&records);
         match &self.group {
-            Some(g) => Ok(CommitHandle(HandleState::Ticket(g.submit(shard, records)?))),
+            Some(g) => Ok(CommitHandle(HandleState::Ticket(g.submit_routed(records)?))),
             None => {
+                let shard = wal.shard_for_batch(&records);
                 // Inline path: the append + fsync below *is* the commit's
                 // durability wait, so time it as the ack latency (the
                 // pipeline path records acks at ticket completion).

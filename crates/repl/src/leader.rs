@@ -142,27 +142,27 @@ impl ReplListener {
         db.obs().register_provider("repl", move || {
             vec![
                 (
-                    "repl.segments_shipped".into(),
+                    "segments_shipped".into(),
                     provider_counters.segments_shipped.load(Ordering::Relaxed),
                 ),
                 (
-                    "repl.bytes_shipped".into(),
+                    "bytes_shipped".into(),
                     provider_counters.bytes_shipped.load(Ordering::Relaxed),
                 ),
                 (
-                    "repl.acks".into(),
+                    "acks".into(),
                     provider_counters.acks.load(Ordering::Relaxed),
                 ),
                 (
-                    "repl.followers".into(),
+                    "followers".into(),
                     provider_counters.followers.load(Ordering::Relaxed),
                 ),
                 (
-                    "repl.handshakes".into(),
+                    "handshakes".into(),
                     provider_counters.handshakes.load(Ordering::Relaxed),
                 ),
                 (
-                    "repl.rejected".into(),
+                    "rejected".into(),
                     provider_counters.rejected.load(Ordering::Relaxed),
                 ),
             ]

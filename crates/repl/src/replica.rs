@@ -17,10 +17,10 @@
 //! * **a transaction still open at the raw barrier** — its `Commit` (or
 //!   the tail of its batch) is still in flight, and replaying around it
 //!   now would diverge from replaying it later. A commit's records are
-//!   appended as one contiguous batch on one shard, so an open
-//!   transaction's records all sit at its shard's received tail; the
-//!   barrier is *lowered* to the smallest begin-LSN among open
-//!   transactions, excluding them wholly.
+//!   appended as one contiguous LSN range on one shard (whichever shard
+//!   the leader's router picked), so a transaction whose rest is in
+//!   flight owns the record right below the raw barrier; the barrier is
+//!   *lowered* to that transaction's first LSN, excluding it wholly.
 //!
 //! Both bounds only ever move forward, so the sub-barrier record set is
 //! grow-only and the op stream [`replay_all`] derives from it is
@@ -50,7 +50,6 @@
 //! [`replay_all`]: instant_wal::recovery::replay_all
 //! [`Db::replay_external_ops`]: instant_core::Db::replay_external_ops
 
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -58,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use instant_common::{Error, Result, TxId};
+use instant_common::{Error, Result};
 use instant_core::query::{schema_for_create, HierarchyRegistry};
 use instant_core::{DaemonCore, Db, ReplicaApplyState};
 use instant_server::protocol::{read_seg_frame, seg_hello, write_seg_frame, SegFrame};
@@ -161,19 +160,16 @@ impl Replica {
         db.obs().register_provider("repl", move || {
             vec![
                 (
-                    "repl.applied_lsn".into(),
+                    "applied_lsn".into(),
                     provider.applied.load(Ordering::Relaxed),
                 ),
+                ("rounds".into(), provider.rounds.load(Ordering::Relaxed)),
                 (
-                    "repl.rounds".into(),
-                    provider.rounds.load(Ordering::Relaxed),
-                ),
-                (
-                    "repl.connected".into(),
+                    "connected".into(),
                     provider.connected.load(Ordering::Relaxed),
                 ),
                 (
-                    "repl.reconnects".into(),
+                    "reconnects".into(),
                     provider.reconnects.load(Ordering::Relaxed),
                 ),
             ]
@@ -395,10 +391,10 @@ impl ReplicaState {
 }
 
 /// Raw barrier (minimum un-received LSN over shards, `∞` for shards the
-/// heartbeat proves complete), then lowered below any transaction still
-/// open there — see the module docs for why the result is a stable,
-/// monotone prefix bound. Public for the crate's property tests, which
-/// drive it with arbitrary durable frontiers.
+/// heartbeat proves complete), then lowered below the transaction still
+/// open there, if any — see the module docs for why the result is a
+/// stable, monotone prefix bound. Public for the crate's property tests,
+/// which drive it with arbitrary durable frontiers.
 pub fn stable_barrier(merged: &[(Lsn, LogRecord)], durable: &[Lsn], leader_next: &[Lsn]) -> Lsn {
     let mut raw = Lsn::MAX;
     for (k, &d) in durable.iter().enumerate() {
@@ -406,31 +402,34 @@ pub fn stable_barrier(merged: &[(Lsn, LogRecord)], durable: &[Lsn], leader_next:
             raw = raw.min(d);
         }
     }
-    let mut open: HashMap<TxId, Lsn> = HashMap::new();
-    for (lsn, rec) in merged.iter().take_while(|(lsn, _)| *lsn < raw) {
-        match rec {
-            LogRecord::Commit { tx, .. } | LogRecord::Abort { tx, .. } => {
-                open.remove(tx);
-            }
-            _ => {
-                if let Some(tx) = rec.tx() {
-                    open.entry(tx).or_insert(*lsn);
-                }
-            }
+    // The leader appends a whole commit batch to one shard as one
+    // contiguous LSN range, and every LSN below `raw` is received. So a
+    // batch whose rest may still be in flight must run right up to the
+    // barrier: only the transaction owning LSN `raw - 1` can be open
+    // there. Any other unfinished transaction ended below the barrier
+    // without a Commit — one the leader's own recovery rolled back after
+    // a torn tail. Its Commit can never arrive, and waiting for it would
+    // stall replay forever.
+    let below = &merged[..merged.partition_point(|(lsn, _)| *lsn < raw)];
+    let Some((last, rec)) = below.last() else {
+        return raw;
+    };
+    let open = match rec {
+        LogRecord::Commit { .. } | LogRecord::Abort { .. } => None,
+        _ => rec.tx(),
+    };
+    let Some(tx) = open.filter(|_| *last + 1 == raw) else {
+        return raw;
+    };
+    // Walk back over the batch to its first record.
+    let mut first = *last;
+    for (lsn, rec) in below.iter().rev().skip(1) {
+        if rec.tx() != Some(tx) || *lsn + 1 != first {
+            break;
         }
+        first = *lsn;
     }
-    // An open transaction only holds the barrier down while its shard
-    // (`tx % n` — the leader appends a whole commit batch to one shard)
-    // is still behind the leader: the missing Commit may be in flight.
-    // On a shard the heartbeat proves complete, a dangling tx is one the
-    // leader's own recovery rolled back after a torn tail — its Commit
-    // can never arrive, and waiting for it would stall replay forever.
-    let n = durable.len() as u64;
-    open.retain(|tx, _| {
-        let k = (tx.0 % n) as usize;
-        durable[k] < leader_next[k]
-    });
-    open.values().copied().min().unwrap_or(raw).min(raw)
+    first
 }
 
 /// `shard-<k>` directory name, zero-padded like the leader's layout.
@@ -495,7 +494,7 @@ fn store_segment(shard_dir: &Path, seqno: u64, bytes: &[u8]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use instant_common::{TableId, Timestamp, TupleId};
+    use instant_common::{TableId, Timestamp, TupleId, TxId};
     use instant_wal::record::Payload;
 
     fn rec(tx: u64, i: u64) -> LogRecord {
@@ -527,15 +526,15 @@ mod tests {
 
     #[test]
     fn barrier_lowers_below_an_open_transaction() {
-        // Tx 9 began at LSN 3 with no commit below the raw barrier (6):
-        // the stable prefix must exclude it wholly.
+        // Tx 9 began at LSN 3 and its batch runs up to the raw barrier
+        // (5) with no commit: the stable prefix must exclude it wholly.
         let merged = vec![
             (0, rec(1, 0)),
             (1, commit(1)),
             (3, rec(9, 1)),
             (4, rec(9, 2)),
         ];
-        assert_eq!(stable_barrier(&merged, &[6], &[9]), 3);
+        assert_eq!(stable_barrier(&merged, &[5], &[9]), 3);
         // Once its commit lands below the raw barrier the lowering ends.
         let merged = vec![
             (0, rec(1, 0)),
@@ -545,6 +544,24 @@ mod tests {
             (5, commit(9)),
         ];
         assert_eq!(stable_barrier(&merged, &[6], &[9]), 6);
+    }
+
+    #[test]
+    fn barrier_holds_an_open_transaction_on_whichever_shard_it_landed() {
+        // Tx 9 (odd) landed on shard 0, which is behind with the rest of
+        // its batch in flight; shard 1 is complete. Routing is by load,
+        // so the barrier cannot assume tx 9 lives on shard 9 % 2.
+        let merged = vec![
+            (0, rec(1, 0)),
+            (1, commit(1)),
+            (2, rec(2, 1)),
+            (3, rec(9, 2)),
+            (4, rec(9, 3)),
+        ];
+        assert_eq!(stable_barrier(&merged, &[5, 3], &[9, 3]), 3);
+        // Once shard 0 moved past the batch without a Commit (a torn tail
+        // the leader rolled back), tx 9 no longer pins the barrier.
+        assert_eq!(stable_barrier(&merged, &[7, 3], &[9, 3]), 7);
     }
 
     #[test]

@@ -39,7 +39,14 @@ fn registry() -> HierarchyRegistry {
 /// truncate what an (offline) follower still needs.
 fn leader_with_workload(shards: usize, workload: &[(u8, u8, u8)]) -> Arc<Db> {
     let clock = MockClock::new();
-    let cfg = DbConfig::builder().wal_shards(shards).build().unwrap();
+    // Inline commits stripe over the shards by transaction id; the
+    // group-commit pipelines route by load, and a sequential workload
+    // would leave every shard but the first empty.
+    let cfg = DbConfig::builder()
+        .wal_shards(shards)
+        .no_group_commit()
+        .build()
+        .unwrap();
     let db = Arc::new(Db::open(cfg, clock.shared()).unwrap());
     let _hold = db
         .wal()

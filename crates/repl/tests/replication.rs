@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use instant_common::{Error, MockClock, TupleId, Value};
-use instant_core::query::HierarchyRegistry;
+use instant_core::query::{HierarchyRegistry, QueryOutput};
 use instant_core::tuple::StoredTuple;
 use instant_core::Session;
 use instant_core::{Db, DbConfig, WalMode};
@@ -242,9 +242,12 @@ fn torn_leader_tail_on_one_shard_converges_to_recovered_state() {
     let dir = tmp("torn-leader");
     // Engine files are path-with-extension siblings: db.idb, db.wal/,
     // db.meta.
+    // Inline commits stripe over both shards by transaction id, so the
+    // tear hits one shard while the other stays intact.
     let cfg = DbConfig::builder()
         .path(dir.join("db"))
         .wal_shards(2)
+        .no_group_commit()
         .build()
         .unwrap();
     {
@@ -455,13 +458,27 @@ impl Drop for Proc {
     }
 }
 
-fn select_ids(client: &mut Client) -> Vec<i64> {
-    try_select_ids(client).unwrap()
+/// Poll `SHOW STATS` on `client` until counter `name` satisfies `ok`,
+/// failing after 60 s.
+fn wait_counter(client: &mut Client, name: &str, ok: impl Fn(u64) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let QueryOutput::Stats(snap) = client.query("SHOW STATS").unwrap() else {
+            panic!("SHOW STATS must answer with a stats snapshot");
+        };
+        let value = snap.counter(name);
+        if value.is_some_and(&ok) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{name} stuck at {value:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
-fn try_select_ids(client: &mut Client) -> instant_common::Result<Vec<i64>> {
+fn select_ids(client: &mut Client) -> Vec<i64> {
     let mut ids: Vec<i64> = client
-        .query("SELECT id FROM person")?
+        .query("SELECT id FROM person")
+        .unwrap()
         .rows()
         .rows
         .into_iter()
@@ -471,7 +488,7 @@ fn try_select_ids(client: &mut Client) -> instant_common::Result<Vec<i64>> {
         })
         .collect();
     ids.sort_unstable();
-    Ok(ids)
+    ids
 }
 
 #[test]
@@ -573,22 +590,22 @@ fn kill_leader_midburst_follower_reconnects_and_converges() {
         assert!(leader_ids.contains(id), "acked id {id} lost by recovery");
     }
 
+    // Wait for the follower's redial: the restarted leader has sent it a
+    // handshake (with the DDL snapshot that names the table), and the
+    // follower counts as connected again once it has replayed that
+    // snapshot.
+    wait_counter(&mut client, "repl.handshakes", |n| n >= 1);
     let mut rclient = Client::connect(&replica_addr).unwrap();
+    wait_counter(&mut rclient, "repl.connected", |c| c == 1);
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        // The table was created after the follower first connected, so
-        // the follower learns it only once it has redialed the restarted
-        // leader: until then the table is missing, i.e. not converged.
-        let follower = match try_select_ids(&mut rclient) {
-            Err(Error::NotFound(_)) => None,
-            other => Some(other.unwrap()),
-        };
-        if follower.as_ref() == Some(&leader_ids) {
+        if select_ids(&mut rclient) == leader_ids {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "follower never converged: leader={leader_ids:?} follower={follower:?}"
+            "follower never converged: leader={leader_ids:?} follower={:?}",
+            select_ids(&mut rclient)
         );
         std::thread::sleep(Duration::from_millis(20));
     }

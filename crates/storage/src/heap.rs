@@ -197,19 +197,6 @@ impl HeapFile {
         Ok(())
     }
 
-    /// All live tuple ids, in page order.
-    pub fn scan_ids(&self) -> Result<Vec<TupleId>> {
-        let mut out = Vec::new();
-        self.for_each_page(|page, sp| {
-            out.extend(
-                sp.live_slots()
-                    .into_iter()
-                    .map(|slot| TupleId { page, slot }),
-            );
-        })?;
-        Ok(out)
-    }
-
     /// Full scan: `(tuple id, record bytes)` pairs, in page order.
     pub fn scan(&self) -> Result<Vec<(TupleId, Vec<u8>)>> {
         let mut out = Vec::new();

@@ -147,11 +147,6 @@ impl<B: AsRef<[u8]>> SlottedPage<B> {
         self.nslots()
     }
 
-    /// Live slot ids.
-    pub fn live_slots(&self) -> Vec<SlotId> {
-        self.live_records().map(|(slot, _)| slot).collect()
-    }
-
     /// Every live record with its slot id, in slot order.
     pub fn live_records(&self) -> impl Iterator<Item = (SlotId, &[u8])> + '_ {
         (0..self.nslots()).filter_map(move |i| {
@@ -535,8 +530,9 @@ mod tests {
         }
         assert!(!contains(&buf, b"GHOST-DATA"), "vacuum must scrub residue");
         let p = SlottedPage::new(&mut buf);
-        assert_eq!(p.live_slots().len(), 1);
-        let keep = p.live_slots()[0];
+        let live: Vec<SlotId> = p.live_records().map(|(slot, _)| slot).collect();
+        assert_eq!(live.len(), 1);
+        let keep = live[0];
         assert_eq!(p.read(keep).unwrap(), b"keep");
     }
 

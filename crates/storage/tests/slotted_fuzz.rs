@@ -93,7 +93,7 @@ fn run_fuzz(ops: Vec<Op>, policy: SecurePolicy) -> Result<(), TestCaseError> {
         for (slot, (_, data)) in &model {
             prop_assert_eq!(page.read(*slot).unwrap(), data.as_slice());
         }
-        prop_assert_eq!(page.live_slots().len(), model.len());
+        prop_assert_eq!(page.live_records().count(), model.len());
     }
     Ok(())
 }

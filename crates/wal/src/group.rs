@@ -45,7 +45,10 @@
 //! [`WalSet`] shard, every pipeline allocating LSNs from the set's
 //! global counter via [`Wal::append_batch_alloc`]. Transactions routed
 //! to different shards append and fsync fully in parallel; recovery's
-//! k-way merge puts the shards back into one LSN-ordered stream.
+//! k-way merge puts the shards back into one LSN-ordered stream. Routing
+//! fills shards in order up to [`SPILL_DEPTH`] commits in flight, so a
+//! light load keeps one shard's epochs deep instead of thinning every
+//! shard's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,6 +63,15 @@ use instant_obs::{Obs, WalShardLane};
 use crate::record::{LogRecord, Lsn};
 use crate::walset::WalSet;
 use crate::writer::Wal;
+
+/// Commits a shard's pipeline takes in flight before
+/// [`GroupCommitSet::submit_routed`] moves on to the next shard. Twice
+/// the eight blocking clients of the serving benchmark: closed-loop
+/// committers that each wait for their own ack (at most one commit in
+/// flight apiece) share one shard's epochs, where splitting them would
+/// only thin every epoch and multiply the fsyncs. A windowed committer
+/// (many commits in flight) overflows it and spreads over the shards.
+pub const SPILL_DEPTH: u64 = 16;
 
 /// Tuning knobs for the pipeline.
 #[derive(Debug, Clone)]
@@ -116,6 +128,9 @@ impl GroupCommitStats {
 
 #[derive(Default)]
 struct StatsCells {
+    /// Non-empty batches accepted by [`GroupCommit::submit`]; minus
+    /// `commits`, the commits in flight.
+    submitted: AtomicU64,
     commits: AtomicU64,
     batches: AtomicU64,
     records: AtomicU64,
@@ -395,9 +410,21 @@ impl GroupCommit {
                 return Err(Error::TxState("group-commit pipeline stopped".into()));
             }
             q.pending.push((records, ticket.clone()));
+            self.shared.stats.submitted.fetch_add(1, Ordering::Release);
         }
         self.shared.work.notify_all();
         Ok(CommitTicket(ticket))
+    }
+
+    /// Commits submitted but not yet acknowledged. A failed ticket never
+    /// leaves the count, so a poisoned pipeline looks loaded for good and
+    /// [`GroupCommitSet`] routes around it.
+    fn in_flight(&self) -> u64 {
+        let s = &self.shared.stats;
+        // `submitted` first: acks that land between the two loads can
+        // only shrink the difference (hence the saturation).
+        let submitted = s.submitted.load(Ordering::Acquire);
+        submitted.saturating_sub(s.commits.load(Ordering::Relaxed))
     }
 
     /// Snapshot of the pipeline counters.
@@ -671,9 +698,12 @@ impl Drop for PoisonOnExit {
 /// [`WalSet`] shard, all allocating LSNs from the set's global counter.
 /// Commits routed to different shards append and fsync fully in
 /// parallel; within a shard they share fsyncs exactly as the
-/// single-pipeline design always did. Stats aggregate across every
-/// pipeline ([`GroupCommitSet::stats`]); the per-shard breakdown stays
-/// available for metrics ([`GroupCommitSet::pipe_stats`]).
+/// single-pipeline design always did. [`GroupCommitSet::submit_routed`]
+/// fills shards in order up to [`SPILL_DEPTH`] commits in flight each,
+/// so a light load keeps one shard's epochs deep. Stats aggregate across
+/// every pipeline
+/// ([`GroupCommitSet::stats`]); the per-shard breakdown stays available
+/// for metrics ([`GroupCommitSet::pipe_stats`]).
 pub struct GroupCommitSet {
     pipes: Vec<GroupCommit>,
 }
@@ -732,6 +762,16 @@ impl GroupCommitSet {
         self.pipes[shard % self.pipes.len()].submit(records)
     }
 
+    /// Enqueue `records` on the first shard, in shard order, with fewer
+    /// than [`SPILL_DEPTH`] commits in flight, or on the least loaded
+    /// shard when every one is that deep. One pipeline thus takes every
+    /// committer while its epochs keep up, and further shards join only
+    /// under a deeper backlog.
+    pub fn submit_routed(&self, records: Vec<LogRecord>) -> Result<CommitTicket> {
+        let shard = spill_route(self.pipes.iter().map(GroupCommit::in_flight), SPILL_DEPTH);
+        self.submit(shard, records)
+    }
+
     /// Durably commit `records` on shard `shard`'s pipeline.
     pub fn commit(&self, shard: usize, records: Vec<LogRecord>) -> Result<Lsn> {
         self.submit(shard, records)?.wait()
@@ -761,6 +801,22 @@ impl GroupCommitSet {
         }
         total
     }
+}
+
+/// The first shard, in shard order, with fewer than `depth` commits in
+/// flight; the least loaded (lowest index on ties) when every shard is at
+/// least that deep.
+fn spill_route(in_flight: impl Iterator<Item = u64>, depth: u64) -> usize {
+    let mut least = (u64::MAX, 0);
+    for (k, n) in in_flight.enumerate() {
+        if n < depth {
+            return k;
+        }
+        if n < least.0 {
+            least = (n, k);
+        }
+    }
+    least.1
 }
 
 #[cfg(test)]
@@ -951,6 +1007,43 @@ mod tests {
             assert_eq!(lsns.len(), 3, "tx {tx} kept all three records");
             assert_eq!(lsns[2] - lsns[0], 2, "tx {tx} batch stayed contiguous");
         }
+    }
+
+    #[test]
+    fn spill_route_fills_shards_in_order_then_picks_the_least_loaded() {
+        assert_eq!(spill_route([0, 0, 0, 0].into_iter(), 16), 0);
+        assert_eq!(spill_route([15, 0, 0, 0].into_iter(), 16), 0);
+        assert_eq!(spill_route([16, 3, 0, 0].into_iter(), 16), 1);
+        assert_eq!(spill_route([16, 16, 16, 15].into_iter(), 16), 3);
+        assert_eq!(spill_route([20, 17, 30, 17].into_iter(), 16), 1);
+        assert_eq!(spill_route([16].into_iter(), 16), 0);
+    }
+
+    #[test]
+    fn routed_blocking_committers_share_one_shard() {
+        let set = WalSet::temp_with("gcs3", 4, SegmentConfig::default()).unwrap();
+        let gcs = GroupCommitSet::spawn(&set, GroupCommitConfig::default()).unwrap();
+        // Eight committers that each wait for their own ack never have
+        // more than eight commits in flight: below the spill depth, so
+        // every epoch stays on shard 0.
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let gcs = &gcs;
+                s.spawn(move || {
+                    for i in 0..25 {
+                        gcs.submit_routed(batch(t * 25 + i))
+                            .unwrap()
+                            .wait()
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let per_pipe = gcs.pipe_stats();
+        assert_eq!(per_pipe[0].commits, 200);
+        assert!(per_pipe[1..].iter().all(|p| p.commits == 0), "{per_pipe:?}");
+        assert!(gcs.pipes.iter().all(|p| p.in_flight() == 0));
+        assert_eq!(set.iterate().unwrap().len(), 600);
     }
 
     #[test]

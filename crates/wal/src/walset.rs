@@ -2,9 +2,10 @@
 //! LSN space.
 //!
 //! A [`WalSet`] owns a directory of per-shard segment directories
-//! (`<path>/shard-<k>/wal.<seqno>.seg`). Commits are routed to a shard by
-//! transaction id, so independent committers append — and, with one
-//! group-commit pipeline per shard, *fsync* — in parallel instead of
+//! (`<path>/shard-<k>/wal.<seqno>.seg`). Each commit batch lands whole on
+//! one shard — by transaction id here ([`WalSet::shard_for`]), by load in
+//! the group-commit pipelines ([`crate::GroupCommitSet::submit_routed`])
+//! — so independent committers append and *fsync* in parallel instead of
 //! funnelling through a single drain thread. What keeps the shards one
 //! log is the **global LSN allocator**: a shared atomic that every shard
 //! draws batch ranges from *under its own shard lock*
